@@ -420,6 +420,17 @@ impl FaultInjector {
         None
     }
 
+    /// Visits of `hook` counted so far.  Only hooks the plan scripts are
+    /// counted, so a plan with one far-off entry per hook turns the
+    /// injector into a visit counter; every other hook reads 0.
+    pub fn visits(&self, hook: Hook) -> u64 {
+        self.slots.get(&hook).map_or(0, |slot| {
+            slot.lock()
+                .unwrap_or_else(|poison| poison.into_inner())
+                .visits
+        })
+    }
+
     /// Every fault delivered so far, in firing order.
     pub fn fired(&self) -> Vec<FiredFault> {
         self.fired
@@ -553,6 +564,19 @@ mod tests {
         assert_eq!(fired.len(), 2);
         assert_eq!(fired[0].at_visit, 2);
         assert_eq!(fired[1].at_visit, 4);
+    }
+
+    #[test]
+    fn visits_count_only_scripted_hooks() {
+        let plan = FaultPlan::new().inject(Hook::LaneJob, u64::MAX, Fault::Kill);
+        let injector = FaultInjector::new(&plan);
+        for _ in 0..3 {
+            assert_eq!(injector.fire(Hook::LaneJob), None);
+            assert_eq!(injector.fire(Hook::SessionSubmit), None);
+        }
+        assert_eq!(injector.visits(Hook::LaneJob), 3);
+        assert_eq!(injector.visits(Hook::SessionSubmit), 0);
+        assert_eq!(injector.unfired(), 1);
     }
 
     #[test]

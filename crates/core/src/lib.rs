@@ -105,7 +105,7 @@ pub use relalg::Symbol;
 pub use request::{footprint, shard_of, Operation, Request, RequestKey, SlaMeta};
 pub use rules::{OrderingSpec, RuleBackend, RuleSet};
 pub use scheduler::{DeclarativeScheduler, ScheduleBatch, SchedulerConfig};
-pub use trigger::TriggerPolicy;
+pub use trigger::{LoopWait, TriggerPolicy};
 
 /// Convenient glob import.
 pub mod prelude {

@@ -26,7 +26,8 @@ use crate::metrics::SchedulerMetrics;
 use crate::protocol::SchedulingPolicy;
 use crate::request::{Request, RequestKey};
 use crate::scheduler::{DeclarativeScheduler, SchedulerConfig};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crate::trigger::LoopWait;
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -504,18 +505,22 @@ fn scheduler_loop(
 
     // Whether the previous round executed anything: a productive round can
     // release locks that unblock still-pending requests, so the next round
-    // runs immediately instead of first blocking on the channel (which
-    // would add a hard 1 ms stall to every lock handoff under light load).
+    // runs immediately instead of first blocking on the channel.
     let mut made_progress = false;
     loop {
-        // Collect what has arrived; block briefly so an idle middleware does
-        // not spin.
-        let timeout = if made_progress {
-            Duration::ZERO
+        // Collect what has arrived.  The loop is work-conserving: it polls
+        // after a productive round (and while draining for shutdown),
+        // re-checks a time-based trigger that holds queued work every 1 ms,
+        // and otherwise sleeps until a message arrives — an idle middleware
+        // takes no timer wake-ups and runs no rounds.
+        let wait = if made_progress || disconnected {
+            LoopWait::Poll
+        } else if killed {
+            LoopWait::Idle
         } else {
-            Duration::from_millis(1)
+            scheduler.idle_wait()
         };
-        match receiver.recv_timeout(timeout) {
+        match wait.recv(&receiver) {
             Ok(first) => {
                 let now_ms = started.elapsed().as_millis() as u64;
                 let mut handle = |msg: ControlMessage, disconnected: &mut bool| match msg {
@@ -545,8 +550,8 @@ fn scheduler_loop(
                     handle(msg, &mut disconnected);
                 }
             }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => {
                 disconnected = true;
             }
         }
@@ -690,6 +695,12 @@ fn scheduler_loop(
         if disconnected && scheduler.queued() == 0 && scheduler.pending() == 0 {
             break;
         }
+        // Refresh the gauge before the loop may block: the sample taken
+        // before the round would otherwise stand for the whole idle spell.
+        depth.store(
+            (scheduler.queued() + scheduler.pending()) as u64,
+            Ordering::Relaxed,
+        );
     }
 
     // Publish the true final depth (0 on a clean drain) — the loop's last

@@ -23,7 +23,7 @@ use crate::qualify::IncrementalQualifier;
 use crate::queue::IncomingQueue;
 use crate::request::{Request, RequestKey};
 use crate::rules::{datalog_output_keys, RuleBackend};
-use crate::trigger::TriggerPolicy;
+use crate::trigger::{LoopWait, TriggerPolicy, TIME_TRIGGER_RECHECK};
 use relalg::{Catalog, Symbol, Table};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -388,6 +388,19 @@ impl DeclarativeScheduler {
             self.aux_generation,
             self.sla_generation,
         ]
+    }
+
+    /// How the threaded loop owning this scheduler should wait for its next
+    /// message after an unproductive round: for a message, unless a
+    /// time-based trigger holds queued work — then until the next
+    /// [`TIME_TRIGGER_RECHECK`] at the latest.  An unproductive round leaves
+    /// nothing else that time alone could unblock.
+    pub fn idle_wait(&self) -> LoopWait {
+        if self.config.trigger.is_time_based() && !self.queue.is_empty() {
+            LoopWait::Until(Instant::now() + TIME_TRIGGER_RECHECK)
+        } else {
+            LoopWait::Idle
+        }
     }
 
     /// Run a round if the trigger condition holds at `now_ms`.
@@ -760,6 +773,42 @@ mod tests {
                 ..SchedulerConfig::default()
             },
         )
+    }
+
+    #[test]
+    fn default_trigger_fires_on_first_tick() {
+        let mut s = DeclarativeScheduler::new(
+            Protocol::algebra(ProtocolKind::Ss2pl),
+            SchedulerConfig::default(),
+        );
+        // One queued request, nothing pending, and no time elapsed since
+        // the last drain: a work-conserving trigger still runs the round.
+        s.submit(Request::write(0, 1, 0, 5), 0);
+        assert_eq!(s.pending(), 0);
+        let batch = s.tick(0).unwrap().expect("the default trigger fires");
+        assert_eq!(batch.len(), 1);
+        assert_eq!(s.queued(), 0);
+    }
+
+    #[test]
+    fn idle_wait_times_out_only_for_a_time_based_trigger_with_queued_work() {
+        let mut s = scheduler(ProtocolKind::Ss2pl);
+        s.submit(Request::write(0, 1, 0, 5), 0);
+        assert_eq!(s.idle_wait(), LoopWait::Idle);
+        let mut s = DeclarativeScheduler::new(
+            Protocol::algebra(ProtocolKind::Ss2pl),
+            SchedulerConfig {
+                trigger: TriggerPolicy::Hybrid {
+                    interval_ms: 10,
+                    threshold: 256,
+                },
+                ..SchedulerConfig::default()
+            },
+        );
+        assert_eq!(s.idle_wait(), LoopWait::Idle);
+        s.submit(Request::write(0, 1, 0, 5), 3);
+        assert!(s.tick(3).unwrap().is_none());
+        assert!(matches!(s.idle_wait(), LoopWait::Until(_)));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::backend::{Backend, BackendKind, Completion};
 use crate::report::Report;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvError, Sender};
 use declsched::passthrough::{PassthroughOutcome, PassthroughScheduler};
 use declsched::{DispatchReport, Operation, Request, SchedError, SchedResult, SchedulerMetrics};
 use std::collections::VecDeque;
@@ -112,7 +112,11 @@ fn forward_loop(
     let mut killed = false;
 
     loop {
-        match receiver.recv_timeout(Duration::from_millis(1)) {
+        // Block until the next message: the forward pass below runs to a
+        // fixpoint, so whatever stays queued is blocked on a native lock
+        // that only a later submission (the holder's terminal) can release.
+        // An idle worker takes no timer wake-ups.
+        match receiver.recv() {
             Ok(first) => {
                 let mut handle = |msg: PassthroughMessage, disconnected: &mut bool| match msg {
                     PassthroughMessage::Txn { requests, reply } => {
@@ -138,8 +142,7 @@ fn forward_loop(
                     handle(msg, &mut disconnected);
                 }
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => disconnected = true,
+            Err(RecvError) => disconnected = true,
         }
 
         match injector.fire(chaos::Hook::WorkerRound { shard: 0 }) {

@@ -11,6 +11,10 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Smallest in-flight list length at which a submission prunes observed
+/// cells.
+const MIN_PRUNE_AT: usize = 64;
+
 /// One connected client's view of a scheduler deployment.
 ///
 /// Sessions are cheap; connect one per client thread.  Submission is
@@ -33,7 +37,11 @@ pub struct Session {
     observe: Arc<SessionObs>,
     /// Chaos fault injector; `SessionSubmit` fires once per submission.
     injector: Arc<chaos::FaultInjector>,
+    /// Cells whose result nobody has observed yet, plus observed ones not
+    /// pruned yet (see [`Session::note_inflight`]).
     inflight: Vec<Arc<TicketCell>>,
+    /// `inflight` length at which the next submission prunes it.
+    prune_at: usize,
     /// Transactions this session routed without a terminal yet.
     open: HashSet<u64>,
 }
@@ -53,6 +61,7 @@ impl Session {
             observe,
             injector,
             inflight: Vec::new(),
+            prune_at: MIN_PRUNE_AT,
             open: HashSet::new(),
         }
     }
@@ -137,7 +146,7 @@ impl Session {
             Arc::clone(&self.observe),
             sampled_intras,
         );
-        self.inflight.push(Arc::clone(&cell));
+        self.note_inflight(Arc::clone(&cell));
         if statements > 0 {
             if has_terminal {
                 self.open.remove(&ta);
@@ -148,6 +157,19 @@ impl Session {
         Ok(Ticket::new(cell))
     }
 
+    /// Register a submitted cell for [`Session::drain`], first pruning the
+    /// cells whose result was already observed once the list has doubled
+    /// since the last prune — amortised O(1) per submission, so a client
+    /// that submits and waits keeps a bounded list.  Unobserved cells stay,
+    /// so a dropped ticket's failure still reaches `drain`.
+    fn note_inflight(&mut self, cell: Arc<TicketCell>) {
+        if self.inflight.len() >= self.prune_at {
+            self.inflight.retain(|cell| !cell.resolved());
+            self.prune_at = (2 * self.inflight.len()).max(MIN_PRUNE_AT);
+        }
+        self.inflight.push(cell);
+    }
+
     /// Submit a transaction and block until it has fully executed — the
     /// one-at-a-time convenience path.
     pub fn execute(&mut self, txn: Txn) -> SchedResult<TxnReceipt> {
@@ -156,7 +178,8 @@ impl Session {
 
     /// Block until every transaction this session still has in flight has
     /// executed.  Returns the first failure (after settling the rest), so
-    /// a dropped [`Ticket`] can never hide an error.
+    /// a dropped [`Ticket`] can never hide an error.  A failure already
+    /// observed through [`Ticket::wait`] may or may not be reported again.
     pub fn drain(&mut self) -> SchedResult<()> {
         let mut first_error = None;
         for cell in self.inflight.drain(..) {
@@ -192,5 +215,43 @@ impl Drop for Session {
         for &ta in &self.open {
             self.backend.abandon(ta);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Scheduler, Txn};
+
+    #[test]
+    fn a_submit_and_wait_client_keeps_a_bounded_inflight_list() {
+        let scheduler = Scheduler::builder().table("bench", 64).build().unwrap();
+        let mut session = scheduler.connect();
+        let mut longest = 0;
+        for ta in 1..=10_000u64 {
+            let object = (ta % 64) as i64;
+            let txn = Txn::new(ta).write(object, ta as i64).commit();
+            session.submit(txn).unwrap().wait().unwrap();
+            longest = longest.max(session.inflight.len());
+        }
+        assert!(longest <= 128, "in-flight list grew to {longest}");
+        session.drain().unwrap();
+        drop(session);
+        scheduler.shutdown();
+    }
+
+    #[test]
+    fn a_dropped_failed_ticket_survives_pruning_and_fails_drain() {
+        let scheduler = Scheduler::builder().table("bench", 64).build().unwrap();
+        let mut session = scheduler.connect();
+        // Row 1,000 does not exist in a 64-row table, so the read fails.
+        drop(session.submit(Txn::new(1).read(1_000).commit()).unwrap());
+        for ta in 2..=1_000u64 {
+            let txn = Txn::new(ta).write((ta % 64) as i64, 1).commit();
+            session.submit(txn).unwrap().wait().unwrap();
+        }
+        assert!(session.inflight.len() <= 128);
+        assert!(session.drain().is_err(), "the dropped failure was lost");
+        drop(session);
+        scheduler.shutdown();
     }
 }

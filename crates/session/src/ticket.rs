@@ -4,6 +4,7 @@ use crate::backend::Completion;
 use crate::observe::SessionObs;
 use crate::tier::TierRegistry;
 use declsched::{SchedError, SchedResult};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -40,6 +41,10 @@ pub(crate) struct TicketCell {
     /// whose outcome was already recorded at submission.
     observe: Option<(Arc<SessionObs>, Option<Vec<u32>>)>,
     state: Mutex<CellState>,
+    /// Set once the result has been observed, so [`TicketCell::resolved`]
+    /// never waits for the cell lock — which a `wait` on another thread
+    /// holds until the transaction completes.
+    observed: AtomicBool,
 }
 
 struct CellState {
@@ -65,6 +70,7 @@ impl TicketCell {
                 rx: Some(rx),
                 done: None,
             }),
+            observed: AtomicBool::new(false),
         })
     }
 
@@ -80,6 +86,7 @@ impl TicketCell {
                 rx: None,
                 done: Some(result),
             }),
+            observed: AtomicBool::new(true),
         })
     }
 
@@ -112,17 +119,15 @@ impl TicketCell {
             observe.record_outcome(self.ta, sampled_intras.as_deref(), &result);
         }
         state.done = Some(result.clone());
+        self.observed.store(true, Ordering::Release);
         result
     }
 
     /// Whether the result has already been observed.  A poisoned cell
     /// counts as resolved: its panicked observer already consumed the
-    /// result.
+    /// result.  Never blocks.
     pub(crate) fn resolved(&self) -> bool {
-        self.state
-            .lock()
-            .map(|state| state.done.is_some())
-            .unwrap_or(true)
+        self.observed.load(Ordering::Acquire) || self.state.is_poisoned()
     }
 }
 

@@ -10,11 +10,14 @@
 //! transactions keep the homes they were routed with.
 //!
 //! Submissions are **batched per shard**: the fast path pushes into a
-//! per-shard buffer and a flusher thread drains every buffer on the
-//! latency bound configured by `SchedulerConfig::batch_flush_micros` (a
-//! buffer also flushes inline when the fleet is otherwise idle or the
-//! buffer fills), so a pipelined client costs one channel synchronization
-//! per *batch* rather than per transaction.  Completions come back through
+//! per-shard buffer, and a flusher thread enforces the latency bound
+//! configured by `SchedulerConfig::batch_flush_micros` (a buffer also
+//! flushes inline when the fleet is otherwise idle or the buffer fills), so
+//! a pipelined client costs one channel synchronization per *batch* rather
+//! than per transaction.  The flusher is event-driven: it parks while every
+//! buffer is empty, the first submission buffered behind an empty buffer
+//! wakes it, and it flushes at that submission's deadline — an idle fleet
+//! costs no flusher wake-ups.  Completions come back through
 //! the shared [`CompletionHub`] the same way — one hub synchronization per
 //! worker round.
 
@@ -30,7 +33,7 @@ use declsched::{
 };
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -41,6 +44,75 @@ const SKETCH_CAPACITY: usize = 128;
 /// independent of the latency bound — batches beyond this see diminishing
 /// returns on the channel synchronization while adding tail latency.
 const MAX_BATCH: usize = 128;
+
+/// Wake-up state of the flusher thread.  The deadline is armed by the first
+/// submission buffered while none is armed and taken by the flusher just
+/// before it flushes every buffer, so a submission either sees an armed
+/// deadline whose flush pass will include it or arms a new one.
+#[derive(Default)]
+struct FlushSignal {
+    state: Mutex<FlushState>,
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct FlushState {
+    /// When the oldest unflushed submission's latency bound runs out.
+    deadline: Option<Instant>,
+    /// Set at shutdown: the flusher exits.
+    stop: bool,
+}
+
+impl FlushSignal {
+    fn lock(&self) -> MutexGuard<'_, FlushState> {
+        self.state
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Start a latency bound of `after` unless an earlier one is running.
+    fn arm(&self, after: Duration) {
+        let mut state = self.lock();
+        if state.deadline.is_none() {
+            state.deadline = Some(Instant::now() + after);
+            self.wake.notify_one();
+        }
+    }
+
+    /// Stop the flusher.
+    fn stop(&self) {
+        self.lock().stop = true;
+        self.wake.notify_one();
+    }
+
+    /// Park until the armed deadline passes, then disarm it and return
+    /// `true`; return `false` once stopped.
+    fn wait_due(&self) -> bool {
+        let mut state = self.lock();
+        loop {
+            if state.stop {
+                return false;
+            }
+            state = match state.deadline {
+                None => self
+                    .wake
+                    .wait(state)
+                    .unwrap_or_else(|poisoned| poisoned.into_inner()),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        state.deadline = None;
+                        return true;
+                    }
+                    self.wake
+                        .wait_timeout(state, deadline - now)
+                        .unwrap_or_else(|poisoned| poisoned.into_inner())
+                        .0
+                }
+            };
+        }
+    }
+}
 
 /// A pending completion for one submitted transaction, waited on through
 /// the fleet's shared completion hub.
@@ -194,6 +266,8 @@ pub(crate) struct RouterCore {
     /// inline — see [`RouterCore::enqueue`]).  Sends happen under the
     /// buffer lock, so batch order equals push order.
     buffers: Vec<Mutex<Vec<Submission>>>,
+    /// Wakes the flusher thread when a buffer stops being empty.
+    flush_signal: FlushSignal,
     /// Requests currently in flight fleet-wide (submitted, not resolved) —
     /// decremented by the hub replies.
     inflight: Arc<AtomicU64>,
@@ -398,7 +472,9 @@ impl RouterCore {
 
     /// Push one submission into its shard's buffer, flushing inline when
     /// `inline` (the fleet was idle at submit time), when batching is
-    /// disabled, or when the buffer reaches [`MAX_BATCH`].
+    /// disabled, or when the buffer reaches [`MAX_BATCH`].  Otherwise the
+    /// first submission into an empty buffer starts the flusher's latency
+    /// bound.
     fn enqueue(&self, shard: usize, submission: Submission, inline: bool) -> SchedResult<()> {
         let mut buffer = self.buffers[shard]
             .lock()
@@ -407,6 +483,10 @@ impl RouterCore {
         if inline || self.flush_micros == 0 || buffer.len() >= MAX_BATCH {
             self.flush_locked(shard, &mut buffer)
         } else {
+            if buffer.len() == 1 {
+                self.flush_signal
+                    .arm(Duration::from_micros(self.flush_micros));
+            }
             Ok(())
         }
     }
@@ -589,7 +669,6 @@ pub struct ShardRouter {
     core: Arc<RouterCore>,
     worker_handles: Vec<JoinHandle<ShardReport>>,
     escalation_handle: JoinHandle<EscalationStats>,
-    flusher_stop: Arc<AtomicBool>,
     flusher_handle: Option<JoinHandle<()>>,
     started: Instant,
 }
@@ -710,6 +789,7 @@ impl ShardRouter {
             lane_active,
             hub,
             buffers: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+            flush_signal: FlushSignal::default(),
             closed: AtomicBool::new(false),
             inflight,
             peak_inflight,
@@ -720,19 +800,17 @@ impl ShardRouter {
             injector: Arc::clone(&config.injector),
         });
 
-        // The flusher enforces the latency bound on buffered submissions.
-        // With batching disabled every submission flushes inline, so no
-        // thread is needed.
-        let flusher_stop = Arc::new(AtomicBool::new(false));
+        // The flusher enforces the latency bound on buffered submissions:
+        // parked until a submission arms the bound, it flushes every buffer
+        // when the bound runs out.  With batching disabled every submission
+        // flushes inline, so no thread is needed.
         let flusher_handle = if flush_micros > 0 {
             let flusher_core = Arc::clone(&core);
-            let stop = Arc::clone(&flusher_stop);
             Some(
                 std::thread::Builder::new()
                     .name("declsched-flusher".to_string())
                     .spawn(move || {
-                        while !stop.load(Ordering::Relaxed) {
-                            std::thread::sleep(Duration::from_micros(flush_micros));
+                        while flusher_core.flush_signal.wait_due() {
                             for shard in 0..flusher_core.shards {
                                 let _ = flusher_core.flush_shard(shard);
                             }
@@ -748,7 +826,6 @@ impl ShardRouter {
             core,
             worker_handles,
             escalation_handle,
-            flusher_stop,
             flusher_handle,
             started: Instant::now(),
         })
@@ -813,7 +890,7 @@ impl ShardRouter {
         self.core.closed.store(true, Ordering::Release);
         // Stop the flusher, then push every still-buffered submission out:
         // nothing may sit in a buffer once the workers start draining.
-        self.flusher_stop.store(true, Ordering::Relaxed);
+        self.core.flush_signal.stop();
         if let Some(handle) = self.flusher_handle {
             let _ = handle.join();
         }

@@ -23,7 +23,8 @@ use crate::metrics::ShardReport;
 use crate::router::TxnHomes;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use declsched::{
-    DeclarativeScheduler, Dispatcher, ProtocolKind, Request, RequestKey, SchedError, SchedResult,
+    DeclarativeScheduler, Dispatcher, LoopWait, ProtocolKind, Request, RequestKey, SchedError,
+    SchedResult,
 };
 use relalg::Table;
 use std::collections::HashMap;
@@ -630,24 +631,28 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
 
     // Whether the previous round executed anything.  A productive round
     // can release locks that unblock still-pending requests, so the next
-    // round must run immediately — blocking on the channel first would put
-    // a hard 1 ms stall into every lock handoff on a lightly loaded shard.
+    // round must run immediately.
     let mut made_progress = false;
     // Processing time, excluding the blocking waits for traffic — the
-    // shard's contribution to the fleet's critical path.  Idle wakeups add
-    // only their (near-free) no-op tick to the total.
+    // shard's contribution to the fleet's critical path.
     let mut busy_us = 0u64;
     loop {
-        // Collect what has arrived; block briefly so an idle shard does not
-        // spin (an unproductive round cannot unblock anything by itself, so
-        // waiting for traffic is safe then).  A held shard also waits here:
-        // the lane's decision arrives as a message.
-        let timeout = if made_progress {
-            Duration::ZERO
+        // Collect what has arrived.  The loop is work-conserving: it polls
+        // after a productive round (and while draining for shutdown),
+        // re-checks a time-based trigger that holds queued work every 1 ms,
+        // and otherwise sleeps until a message arrives (an unproductive
+        // round cannot unblock anything by itself), so an idle shard takes
+        // no timer wake-ups.  A held or killed shard runs no rounds whatever
+        // its queue holds: the lane's decision, like everything else that
+        // can change that, arrives as a message.
+        let wait = if made_progress || state.disconnected {
+            LoopWait::Poll
+        } else if state.killed || state.held.is_some() {
+            LoopWait::Idle
         } else {
-            Duration::from_millis(1)
+            state.scheduler.idle_wait()
         };
-        let received = receiver.recv_timeout(timeout);
+        let received = wait.recv(&receiver);
         let iteration_started = Instant::now();
         match received {
             Ok(first) => {
@@ -816,6 +821,12 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
         if state.disconnected && state.scheduler.queued() == 0 && state.scheduler.pending() == 0 {
             break;
         }
+        // Refresh the gauge before the loop may block: the sample taken
+        // before the round would otherwise stand for the whole idle spell.
+        state.depth.store(
+            (state.scheduler.queued() + state.scheduler.pending()) as u64,
+            Ordering::Relaxed,
+        );
     }
     state.flush_completions();
 

@@ -2,8 +2,8 @@
 //!
 //! The workspace builds offline, so this local shim provides the
 //! `crossbeam::channel` API subset the middleware and shard crates use:
-//! `bounded` / `unbounded` MPSC channels with `send`, `recv`, `try_recv` and
-//! `recv_timeout`, plus disconnect detection on both ends.  Built on
+//! `bounded` / `unbounded` MPSC channels with `send`, `recv`, `try_recv`,
+//! `recv_timeout` and `recv_deadline`, plus disconnect detection on both ends.  Built on
 //! `std::sync::{Mutex, Condvar}`.
 
 /// Multi-producer channels with timeouts and disconnect detection.
@@ -196,7 +196,12 @@ pub mod channel {
 
         /// Receive, blocking for at most `timeout`.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
+            self.recv_deadline(Instant::now() + timeout)
+        }
+
+        /// Receive, blocking until `deadline` at the latest.  A deadline
+        /// already passed behaves like [`Receiver::try_recv`].
+        pub fn recv_deadline(&self, deadline: Instant) -> Result<T, RecvTimeoutError> {
             let mut state = self.inner.state.lock().expect("channel lock poisoned");
             loop {
                 if let Some(value) = state.queue.pop_front() {
@@ -272,6 +277,24 @@ pub mod channel {
             let t = std::thread::spawn(move || tx.send(42).unwrap());
             assert_eq!(rx.recv_timeout(Duration::from_millis(500)), Ok(42));
             t.join().unwrap();
+        }
+
+        #[test]
+        fn deadline_in_the_past_polls_and_a_future_one_waits() {
+            let (tx, rx) = unbounded();
+            let past = Instant::now();
+            assert_eq!(rx.recv_deadline(past), Err(RecvTimeoutError::Timeout));
+            tx.send(3).unwrap();
+            assert_eq!(rx.recv_deadline(past), Ok(3));
+            let start = Instant::now();
+            let deadline = start + Duration::from_millis(5);
+            assert_eq!(rx.recv_deadline(deadline), Err(RecvTimeoutError::Timeout));
+            assert!(Instant::now() >= deadline);
+            drop(tx);
+            assert_eq!(
+                rx.recv_deadline(Instant::now() + Duration::from_secs(5)),
+                Err(RecvTimeoutError::Disconnected)
+            );
         }
 
         #[test]
